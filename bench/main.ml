@@ -452,12 +452,10 @@ let ablation () =
 (* Simulation-kernel observability: how fast the event-driven kernel    *)
 (* runs and how sparse its wake lists are                               *)
 
-let kernel ?(jobs = 1) ?json () =
+let kernel ?json () =
   header
-    (Fmt.str
-       "Simulation kernel: wall-clock throughput, wake-list sparsity and \
-        GC pressure per workload (jobs=%d)"
-       jobs);
+    "Simulation kernel: wall-clock throughput, wake-list sparsity and GC \
+     pressure per workload";
   Fmt.pr "%-10s %10s %8s %12s %10s %10s %8s %9s %6s@." "bench" "cycles"
     "wall-s" "cycles/sec" "woken/cyc" "nodes/cyc" "sparsity" "minW/cyc"
     "majGC";
@@ -466,7 +464,7 @@ let kernel ?(jobs = 1) ?json () =
       (fun (w : W.t) ->
         let p = W.program w in
         let c = Muir_core.Build.circuit ~name:w.wname p in
-        let r = Muir_sim.Sim.run ~jobs c in
+        let r = Muir_sim.Sim.run c in
         let s = r.Muir_sim.Sim.stats in
         let sparsity =
           if s.live_nodes_per_cycle > 0.0 then
@@ -506,8 +504,7 @@ let kernel ?(jobs = 1) ?json () =
     let module J = Muir_trace.Json in
     let j =
       J.Obj
-        [ ("jobs", J.Int jobs);
-          ( "workloads",
+        [ ( "workloads",
             J.Arr
               (List.map
                  (fun (name, (s : Muir_sim.Sim.stats)) ->
@@ -941,7 +938,7 @@ let serve_experiment ?json () =
           (fun j stack ->
             { P.it_id = (2 * i) + j; it_src = P.Workload w.wname;
               it_stack = stack; it_tiles = None; it_banks = None;
-              it_off = []; it_deadline_ms = None; it_jobs = 1 })
+              it_off = []; it_deadline_ms = None })
           [ "baseline"; "best" ])
       W.all)
   in
@@ -1262,22 +1259,14 @@ let () =
     | [] -> []
   in
   match args with
-  | "kernel" :: rest ->
-    (* kernel [--jobs N] [--json PATH] *)
-    let rec parse jobs json = function
-      | [] -> kernel ~jobs ?json ()
-      | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some j when j >= 1 -> parse j json rest
-        | _ ->
-          Fmt.epr "kernel: bad --jobs %S@." n;
-          exit 2)
-      | "--json" :: path :: rest -> parse jobs (Some path) rest
-      | a :: _ ->
-        Fmt.epr "usage: bench kernel [--jobs N] [--json PATH] (got %S)@." a;
-        exit 2
-    in
-    parse 1 None rest
+  | "kernel" :: rest -> (
+    (* kernel [--json PATH] *)
+    match rest with
+    | [] -> kernel ()
+    | [ "--json"; path ] -> kernel ~json:path ()
+    | a :: _ ->
+      Fmt.epr "usage: bench kernel [--json PATH] (got %S)@." a;
+      exit 2)
   | "serve" :: rest -> (
     (* serve [--json PATH] *)
     match rest with

@@ -5,7 +5,7 @@
      muirc graph    model [--fuse] [--dot f]  operator graph of a model
      muirc check    prog.mc [-O pass]  static analysis (deadlock, races)
      muirc chisel   prog.mc [-o f]     emit Chisel for the accelerator
-     muirc simulate prog.mc [-O pass] [--jobs N]  cycle-accurate simulation
+     muirc simulate prog.mc [-O pass]  cycle-accurate simulation
      muirc profile  prog.mc [-O pass]  traced simulation + stall report
      muirc synth    prog.mc [-O pass]  FPGA/ASIC synthesis estimates
      muirc workload name [-O pass]     same, for a bundled benchmark
@@ -473,25 +473,17 @@ let report_simulation (r : Muir_sim.Sim.result) =
     r.stats.invocations
 
 let simulate_cmd =
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Shard the simulation across $(docv) domains (results are \
-             bit-identical for every job count).")
-  in
-  let run target passes unroll jobs =
+  let run target passes unroll =
     handle_frontend (fun () ->
         let b = target_built ~unroll target passes in
-        let r = Pipeline.simulate ~jobs b in
+        let r = Pipeline.simulate b in
         report_simulation r;
         Fmt.pr "return value      %s@."
           (Muir_ir.Types.value_to_string r.value))
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Cycle-accurate simulation of the accelerator.")
-    Term.(const run $ target_arg $ passes_arg $ unroll_arg $ jobs_arg)
+    Term.(const run $ target_arg $ passes_arg $ unroll_arg)
 
 let profile_cmd =
   let target_arg =
@@ -970,14 +962,6 @@ let client_cmd =
             "Per-item deadline, measured from admission and enforced at \
              pipeline stage boundaries.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Simulator domains per item (results are bit-identical for \
-             every value, so this never changes what is cached).")
-  in
   let batch_arg =
     Arg.(
       value & opt (some string) None
@@ -1018,7 +1002,7 @@ let client_cmd =
   in
   let module J = Muir_trace.Json in
   let module P = Muir_serve.Proto in
-  let run socket targets stack tiles banks deadline jobs batch stats
+  let run socket targets stack tiles banks deadline batch stats
       metrics shutdown json =
     let write_json resp =
       Option.iter
@@ -1103,7 +1087,7 @@ let client_cmd =
                 in
                 { P.it_id = i; it_src = src; it_stack = stack;
                   it_tiles = tiles; it_banks = banks; it_off = [];
-                  it_deadline_ms = deadline; it_jobs = jobs })
+                  it_deadline_ms = deadline })
               targets
         in
         if items = [] then begin
@@ -1161,7 +1145,7 @@ let client_cmd =
           $(b,--shutdown).")
     Term.(
       const run $ socket_arg $ targets_arg $ stack_arg $ tiles_arg
-      $ banks_arg $ deadline_arg $ jobs_arg $ batch_arg $ stats_flag
+      $ banks_arg $ deadline_arg $ batch_arg $ stats_flag
       $ metrics_flag $ shutdown_flag $ json_arg)
 
 (* --- muirc top: a live terminal view of a running daemon ----------- *)

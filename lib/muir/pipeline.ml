@@ -171,8 +171,7 @@ let model ?ctl (b : built) : modeled =
 
 (** Cycle-accurate simulation of the built circuit (the Simulate
     stage); all simulator options pass through unchanged. *)
-let simulate ?ctl ?tracer ?args ?max_cycles ?deadlock_window ?(jobs = 1)
-    (b : built) : Muir_sim.Sim.result =
+let simulate ?ctl ?tracer ?args ?max_cycles ?deadlock_window (b : built) :
+    Muir_sim.Sim.result =
   staged ctl Simulate (fun () ->
-      Muir_sim.Sim.run ?tracer ?args ?max_cycles ?deadlock_window ~jobs
-        b.p_circuit)
+      Muir_sim.Sim.run ?tracer ?args ?max_cycles ?deadlock_window b.p_circuit)

@@ -26,9 +26,11 @@
     ({["name":"my-kernel","source":"..."]}), plus an optional μopt
     configuration ([stack] from the registry, [tiles]/[banks]
     overriding that stack's defaults, [off] pass names to drop) and
-    sim parameters ([jobs] — bit-identical for every value, so it is
-    not part of the cache key — and [deadline_ms], a per-request
-    deadline measured from admission).
+    an optional [deadline_ms], a per-request deadline measured from
+    admission.  A [jobs] field from older clients is still accepted
+    (it must be an integer >= 1) and ignored: the simulator runs one
+    item on one domain, and batch parallelism is the daemon's
+    [--jobs].
 
     {2 Responses}
 
@@ -138,7 +140,6 @@ type item = {
   it_banks : int option;
   it_off : string list;        (** pass names to drop from the stack *)
   it_deadline_ms : int option; (** budget measured from admission *)
-  it_jobs : int;               (** simulator domains for this item *)
 }
 
 type request =
@@ -164,8 +165,7 @@ let item_to_json (it : item) : J.t =
     @ opt "banks" it.it_banks (fun n -> J.Int n)
     @ (if it.it_off = [] then []
        else [ ("off", J.Arr (List.map (fun o -> J.Str o) it.it_off)) ])
-    @ opt "deadline_ms" it.it_deadline_ms (fun n -> J.Int n)
-    @ if it.it_jobs = 1 then [] else [ ("jobs", J.Int it.it_jobs) ])
+    @ opt "deadline_ms" it.it_deadline_ms (fun n -> J.Int n))
 
 let request_to_json (r : request) : J.t =
   let op name rest = J.Obj (("muirc", J.Str version) :: ("op", J.Str name) :: rest) in
@@ -195,6 +195,10 @@ let item_of_json (j : J.t) : item =
       | Some _, Some _ -> bad "item has both \"workload\" and \"source\""
       | None, None -> bad "item has neither \"workload\" nor \"source\""
     in
+    (* An older client's "jobs": validated, then ignored. *)
+    (match m "jobs" with
+    | Some n when jint n < 1 -> bad "\"jobs\" must be >= 1"
+    | _ -> ());
     { it_id = (match m "id" with Some i -> jint i | None -> bad "item missing \"id\"");
       it_src = src;
       it_stack = (match m "stack" with Some s -> jstr s | None -> "baseline");
@@ -205,13 +209,7 @@ let item_of_json (j : J.t) : item =
         | None -> []
         | Some (J.Arr os) -> List.map jstr os
         | Some _ -> bad "\"off\" must be an array of pass names");
-      it_deadline_ms = Option.map jint (m "deadline_ms");
-      it_jobs =
-        (match m "jobs" with
-        | None -> 1
-        | Some n ->
-          let n = jint n in
-          if n < 1 then bad "\"jobs\" must be >= 1" else n) }
+      it_deadline_ms = Option.map jint (m "deadline_ms") }
   | _ -> bad "item must be an object"
 
 let items_of_json (j : J.t) : item list =

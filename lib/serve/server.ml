@@ -198,8 +198,7 @@ let queue_depth (t : t) : int =
 (** The cache key of one item: a protocol-versioned digest of the
     {e source} (workload text or inline text — so editing a bundled
     workload invalidates its entries) crossed with the configuration's
-    content key.  [jobs] and [deadline_ms] are deliberately excluded:
-    simulation is bit-identical for every job count, and a deadline
+    content key.  [deadline_ms] is deliberately excluded: a deadline
     changes when an answer arrives, never what it is. *)
 let item_key (src : Proto.src) (cfg : Config.t) : string =
   let sd =
@@ -260,7 +259,7 @@ let eval_item ?(now = Unix.gettimeofday) ~(deadline : float option)
       in
       let b = Pipeline.build ~ctl ~passes:(Config.passes cfg) src in
       let m = Pipeline.model ~ctl b in
-      let r = Pipeline.simulate ~ctl ~jobs:it.it_jobs b in
+      let r = Pipeline.simulate ~ctl b in
       let spec = Config.spec cfg in
       let knobs =
         (if spec.sp_uses_tiles then [ ("tiles", cfg.tiles) ] else [])

@@ -57,17 +57,6 @@
     every workload (enforced by the golden constants in
     [test/test_sim.ml]).
 
-    {2 Sharded simulation}
-
-    [run ~jobs:n] with [n > 1] partitions tasks across an OCaml-5
-    domain pool ([t_lane = tid mod jobs]) and fans the fire and emit
-    phases out each cycle.  Lanes only touch state owned by their
-    tasks; every cross-task effect (child-queue pushes, sync-context
-    mutation, parked callers) is deferred to the coordinator, which
-    replays it in task-id order — so the sharded schedule commutes
-    with the sequential one and the results (cycles, fires, the whole
-    counter bank) are bit-identical for every job count.
-
     Functional results are written to the same flat memory the golden
     interpreter uses, so every simulation is checkable end to end. *)
 
@@ -243,7 +232,7 @@ and instance = {
   mutable ivp_n : int;
   i_nres : int;
   i_sc : Exec.sc;                 (** flat ALU scratch *)
-  i_prof : Tr.Prof.iprof;         (** always-on stall accounting *)
+  i_prof : Ctr.Prof.iprof;         (** always-on stall accounting *)
   i_nctr : Ctr.node_ctr array;
   (** whole-run counter rows, parallel to [inodes] — resolved once at
       construction so retirement folds without hashing a key *)
@@ -291,10 +280,6 @@ type task_rt = {
   mutable tw_inst : instance array;  (** callers parked on full queue *)
   mutable tw_node : node_rt array;
   mutable tw_n : int;
-  (* call/spawn/sync fires deferred to the coordinator (sharded) *)
-  mutable td_inst : instance array;
-  mutable td_node : node_rt array;
-  mutable td_n : int;
   (* retired dynamic instances, FIFO (head reused only on a later
      cycle than its retirement, so staged state flushes first) *)
   mutable tp_v : instance array;
@@ -333,7 +318,7 @@ exception Deadlock of string
 exception Cycle_limit of int
 
 (* ------------------------------------------------------------------ *)
-(* Timing wheel and per-lane state                                     *)
+(* Timing wheel                                                         *)
 
 (* 512-slot wheel of (instance, node, absolute cycle, kind); kind 0 =
    fire, 1 = emit.  Entries keep their absolute cycle, so a slot can
@@ -348,20 +333,6 @@ type wslot = {
   mutable w_n : int;
 }
 
-(* Each simulation lane owns a wheel, a dirty-channel list and local
-   counters; lane 0 is the coordinator (and the only lane in
-   sequential mode).  Lane-local state is merged deterministically by
-   the coordinator each cycle. *)
-type lane = {
-  wheel : wslot array;
-  mutable ld_v : fifo array;      (** channels with staged writes *)
-  mutable ld_n : int;
-  mutable l_fires : int;
-  mutable l_woken : int;
-  mutable l_syncs : int;
-  mutable l_active : bool;
-}
-
 type t = {
   circ : G.circuit;
   ms : Memsys.t;
@@ -374,9 +345,9 @@ type t = {
   mutable root_val : token;
   junction_width : int array;     (** per task *)
   max_outstanding : int;
-  lanes : lane array;             (** [njobs] entries; lane 0 first *)
-  njobs : int;
-  mutable dpool : Dpool.t option;
+  wheel : wslot array;
+  mutable ld_v : fifo array;      (** channels with staged writes *)
+  mutable ld_n : int;
   mutable woken : int;            (** total fire-phase attempts, stats *)
   mutable live_nodes : int;       (** nodes across live instances *)
   mutable node_cycles : int;      (** Σ live_nodes per cycle, stats *)
@@ -471,7 +442,7 @@ let dummy_inst : instance =
     i_qfire = false; i_qemit = false; i_qcomplete = false;
     i_qjunction = false; ivp = [||]; ivp_n = 0; i_nres = 0;
     i_sc = Exec.make_sc ~slots:1;
-    i_prof = Tr.Prof.make ~born:0 ~nnodes:0; i_nctr = [||] }
+    i_prof = Ctr.Prof.make ~born:0 ~nnodes:0; i_nctr = [||] }
 
 let dummy_inv : invocation =
   { iv_gen = 0; iv_wave = -1; iv_rkind = 0; iv_rinst = dummy_inst;
@@ -527,12 +498,12 @@ let wake_junction (sim : t) (inst : instance) : unit =
     trt.tj_n <- trt.tj_n + 1
   end
 
-(** Schedule a wake on [ln]'s wheel at absolute cycle [c] (clamped to
-    the future); [kind] 0 = fire, 1 = emit. *)
-let at (sim : t) (ln : lane) (c : int) (inst : instance) (n : node_rt)
-    (kind : int) : unit =
+(** Schedule a wake on the wheel at absolute cycle [c] (clamped to the
+    future); [kind] 0 = fire, 1 = emit. *)
+let at (sim : t) (c : int) (inst : instance) (n : node_rt) (kind : int) :
+    unit =
   let c = max c (sim.now + 1) in
-  let s = ln.wheel.(c land (wheel_size - 1)) in
+  let s = sim.wheel.(c land (wheel_size - 1)) in
   let m = s.w_n in
   s.wi <- vpush s.wi m inst;
   s.wn <- vpush s.wn m n;
@@ -540,8 +511,8 @@ let at (sim : t) (ln : lane) (c : int) (inst : instance) (n : node_rt)
   s.wk <- vpush s.wk m kind;
   s.w_n <- m + 1
 
-(* Drain this cycle's wheel slot on every lane, keeping entries whose
-   absolute cycle lies a full wheel turn ahead. *)
+(* Drain this cycle's wheel slot, keeping entries whose absolute cycle
+   lies a full wheel turn ahead. *)
 let rec drain_slot (sim : t) (s : wslot) (i : int) (n : int) (kept : int)
     : int =
   if i >= n then kept
@@ -559,11 +530,8 @@ let rec drain_slot (sim : t) (s : wslot) (i : int) (n : int) (kept : int)
   end
 
 let drain_timed (sim : t) : unit =
-  let idx = sim.now land (wheel_size - 1) in
-  for l = 0 to sim.njobs - 1 do
-    let s = sim.lanes.(l).wheel.(idx) in
-    if s.w_n > 0 then s.w_n <- drain_slot sim s 0 s.w_n 0
-  done
+  let s = sim.wheel.(sim.now land (wheel_size - 1)) in
+  if s.w_n > 0 then s.w_n <- drain_slot sim s 0 s.w_n 0
 
 (** A spawned child joined or a context count moved: re-check the
     owner's completion and retry every parked sync. *)
@@ -583,9 +551,8 @@ let f0 = [| 0.0 |]
 
 let fifo_space (f : fifo) = f.ftail - f.fhead < f.fcap
 
-let fifo_push (ln : lane) (f : fifo) (tag : int) (num : int)
-    (flts : float array) (fi : int)
-    (obj : token) : unit =
+let fifo_push (sim : t) (f : fifo) (tag : int) (num : int)
+    (flts : float array) (fi : int) (obj : token) : unit =
   let i = f.ftail land f.fmask in
   f.ftags.(i) <- tag;
   f.fnums.(i) <- num;
@@ -594,8 +561,8 @@ let fifo_push (ln : lane) (f : fifo) (tag : int) (num : int)
   f.ftail <- f.ftail + 1;
   if not f.f_dirty then begin
     f.f_dirty <- true;
-    ln.ld_v <- vpush ln.ld_v ln.ld_n f;
-    ln.ld_n <- ln.ld_n + 1
+    sim.ld_v <- vpush sim.ld_v sim.ld_n f;
+    sim.ld_n <- sim.ld_n + 1
   end
 
 (** Stage every input of [n] into rows [0 ..] of [sc]; false if some
@@ -881,7 +848,7 @@ let new_instance (sim : t) (task : G.task) ~(dynamic : bool) : instance =
       i_qemit = false; i_qcomplete = false; i_qjunction = false;
       ivp = [||]; ivp_n = 0; i_nres = List.length task.res_tys;
       i_sc = Exec.make_sc ~slots:((max_arity * 2) + 4);
-      i_prof = Tr.Prof.make ~born:sim.now ~nnodes;
+      i_prof = Ctr.Prof.make ~born:sim.now ~nnodes;
       i_nctr =
         Array.map
           (fun (n : node_rt) ->
@@ -956,7 +923,7 @@ let reset_instance (sim : t) (inst : instance) : unit =
   inst.i_qemit <- false;
   inst.i_qcomplete <- false;
   inst.i_qjunction <- false;
-  Tr.Prof.reset inst.i_prof ~born:sim.now;
+  Ctr.Prof.reset inst.i_prof ~born:sim.now;
   inst.live <- true;
   sim.live_nodes <- sim.live_nodes + Array.length inst.inodes;
   for i = 0 to Array.length inst.inodes - 1 do
@@ -1003,7 +970,7 @@ let acquire_instance (sim : t) (trt : task_rt) : instance =
     inst
   end
 
-let create ?tracer ?(jobs = 1) (c : G.circuit) : t =
+let create ?tracer (c : G.circuit) : t =
   Muir_core.Validate.check_exn c;
   let mem = Muir_ir.Memory.create c.prog in
   let ms = Memsys.create c mem in
@@ -1024,25 +991,19 @@ let create ?tracer ?(jobs = 1) (c : G.circuit) : t =
              tf_v2 = [||]; tf_n = 0; te_v = [||]; te_v2 = [||]; te_n = 0;
              tc_v = [||]; tc_n = 0; tc2 = [||]; tj_v = [||]; tj_v2 = [||];
              tj_n = 0; tw_inst = [||]; tw_node = [||]; tw_n = 0;
-             td_inst = [||]; td_node = [||]; td_n = 0; tp_v = [||];
-             tp_head = 0; tp_tail = 0 })
+             tp_v = [||]; tp_head = 0; tp_tail = 0 })
          c.tasks)
   in
-  let njobs = max 1 jobs in
   let ctrs = Ctr.create () in
   let sim =
     { circ = c; ms; tasks; now = 0; fires = 0; last_activity = 0;
       next_iid = 0; root_done = false; root_val = T.VBool true;
       junction_width = Array.init n (fun tid -> G.junction_width c tid);
       max_outstanding = 8;
-      lanes =
-        Array.init njobs (fun _ ->
-            { wheel =
-                Array.init wheel_size (fun _ ->
-                    { wi = [||]; wn = [||]; wc = [||]; wk = [||]; w_n = 0 });
-              ld_v = [||]; ld_n = 0; l_fires = 0; l_woken = 0;
-              l_syncs = 0; l_active = false });
-      njobs; dpool = None; woken = 0; live_nodes = 0; node_cycles = 0;
+      wheel =
+        Array.init wheel_size (fun _ ->
+            { wi = [||]; wn = [||]; wc = [||]; wk = [||]; w_n = 0 });
+      ld_v = [||]; ld_n = 0; woken = 0; live_nodes = 0; node_cycles = 0;
       tr = tracer; ctrs;
       otasks = Array.init n (fun tid -> Ctr.occ_ref ctrs (Ctr.Ktask tid));
       ostructs =
@@ -1419,7 +1380,6 @@ let inject (sim : t) (trt : task_rt) (inst : instance) (s : int) : unit =
   wv_insert inst wave iv;
   inst.i_count <- inst.i_count + 1;
   let base = s * max trt.t_arity 1 in
-  let ln0 = sim.lanes.(0) in
   for j = 0 to Array.length inst.inodes - 1 do
     let n = inst.inodes.(j) in
     match n.nr.kind with
@@ -1427,14 +1387,14 @@ let inject (sim : t) (trt : task_rt) (inst : instance) (s : int) : unit =
       let fs = n.nr_out.(0) in
       if i < trt.t_arity then
         for k = 0 to Array.length fs - 1 do
-          fifo_push ln0 fs.(k) trt.tq_tags.(base + i)
+          fifo_push sim fs.(k) trt.tq_tags.(base + i)
             trt.tq_nums.(base + i) trt.tq_flts
             (base + i)
             trt.tq_objs.(base + i)
         done
       else
         for k = 0 to Array.length fs - 1 do
-          fifo_push ln0 fs.(k) F.tpoison 0 f0 0 F.no_obj
+          fifo_push sim fs.(k) F.tpoison 0 f0 0 F.no_obj
         done
     | _ -> ()
   done;
@@ -1582,7 +1542,7 @@ let try_complete (sim : t) (trt : task_rt) (inst : instance) : unit =
       let ip = inst.i_prof in
       for i = 0 to Array.length ip.nprofs - 1 do
         ignore
-          (Tr.Prof.transition ip.nprofs.(i) (Tr.cause_index Tr.Idle)
+          (Ctr.Prof.transition ip.nprofs.(i) (Ctr.cause_index Ctr.Idle)
              (sim.now + 1))
       done;
       if inst.idynamic then begin
@@ -1647,11 +1607,11 @@ let zeros4 = Array.make 4 0.0
     attempt has no side effects beyond (re)subscribing the node to the
     event that can unblock it.  All operand staging goes through the
     instance's flat scratch [i_sc]; nothing here allocates. *)
-let try_fire (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
+let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
   let now = sim.now in
   if n.nr_busy_until > now then begin
     (* Sleeping on the initiation interval: retry when it expires. *)
-    at sim ln n.nr_busy_until inst n 0;
+    at sim n.nr_busy_until inst n 0;
     false
   end
   else
@@ -2009,13 +1969,13 @@ let try_fire (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
 (* Why did this woken node fail to fire?  Mirrors [try_fire]'s failure
    paths; a failed attempt has no side effects, so re-inspecting the
    state after the attempt is exact. *)
-let stall_cause (sim : t) (n : node_rt) : Tr.cause =
-  if n.nr_busy_until > sim.now then Tr.Structural
+let stall_cause (sim : t) (n : node_rt) : Ctr.cause =
+  if n.nr_busy_until > sim.now then Ctr.Structural
   else
     match n.nr.kind with
-    | G.LiveIn _ -> Tr.Idle (* driven by injection, never stalled *)
+    | G.LiveIn _ -> Ctr.Idle (* driven by injection, never stalled *)
     | G.MergeLoop ->
-      if not (input_ready n 0) then Tr.Operand
+      if not (input_ready n 0) then Ctr.Operand
       else begin
         let t, m, o =
           match n.nr_in.(0) with
@@ -2025,53 +1985,49 @@ let stall_cause (sim : t) (n : node_rt) : Tr.cause =
             (f.ftags.(j), f.fnums.(j), f.fobjs.(j))
         in
         if not (input_ready n (if Exec.truthy_flat t m o then 2 else 1))
-        then Tr.Operand
-        else Tr.Backpressure
+        then Ctr.Operand
+        else Ctr.Backpressure
       end
     | _ ->
-      if not (all_inputs_ready n) then Tr.Operand
+      if not (all_inputs_ready n) then Ctr.Operand
       else if n.np_tail - n.np_head >= 4 && not (G.is_memory_node n.nr)
-      then Tr.Backpressure
+      then Ctr.Backpressure
       else (
         match n.nr.kind with
-        | G.Load _ | G.Store _ | G.Tload _ | G.Tstore _ -> Tr.Memory
-        | G.CallChild _ | G.SpawnChild _ -> Tr.Structural
-        | _ -> Tr.Operand)
+        | G.Load _ | G.Store _ | G.Tload _ | G.Tstore _ -> Ctr.Memory
+        | G.CallChild _ | G.SpawnChild _ -> Ctr.Structural
+        | _ -> Ctr.Operand)
 
 (* The label a node enters after firing at [sim.now], effective from
    [sim.now + 1].  Any event that changes the node's state relabels it,
    so this only has to be right for the state as left by the firing. *)
-let post_fire_cause (sim : t) (n : node_rt) (ra : bool) : Tr.cause =
+let post_fire_cause (sim : t) (n : node_rt) (ra : bool) : Ctr.cause =
   match n.nr.kind with
-  | G.SyncWait -> Tr.Sync
+  | G.SyncWait -> Ctr.Sync
   | _ ->
-    if not ra then Tr.Operand
-    else if n.nr_busy_until > sim.now + 1 then Tr.Structural
+    if not ra then Ctr.Operand
+    else if n.nr_busy_until > sim.now + 1 then Ctr.Structural
     else (
       match n.nr.kind with
       | G.Load _ | G.Store _ | G.Tload _ | G.Tstore _ ->
-        if n.nm_tail - n.nm_head >= sim.max_outstanding then Tr.Memory
-        else Tr.Busy
+        if n.nm_tail - n.nm_head >= sim.max_outstanding then Ctr.Memory
+        else Ctr.Busy
       | _ ->
-        if n.np_tail - n.np_head >= 4 then Tr.Backpressure else Tr.Busy)
+        if n.np_tail - n.np_head >= 4 then Ctr.Backpressure else Ctr.Busy)
 
-(** Fire attempt plus the event subscriptions a success implies.
-    Activity counters go to the lane; cross-lane state (the spawn
-    counter, parked-caller lists, child queues) is only ever touched
-    by the coordinator, because call/spawn/sync fires are deferred to
-    it in sharded mode. *)
-let fire_node (sim : t) (ln : lane) (trt : task_rt) (inst : instance)
-    (n : node_rt) : bool =
-  let fired = try_fire sim ln inst n in
+(** Fire attempt plus the event subscriptions a success implies. *)
+let fire_node (sim : t) (trt : task_rt) (inst : instance) (n : node_rt) :
+    bool =
+  let fired = try_fire sim inst n in
   (* Interval accounting is always-on (it feeds the counter bank); the
      ring only sees events when a tracer is attached. *)
-  let np = inst.i_prof.Tr.Prof.nprofs.(n.nr_idx) in
+  let np = inst.i_prof.Ctr.Prof.nprofs.(n.nr_idx) in
   let ra = fired && ready_again n in
   if fired then begin
-    ignore (Tr.Prof.transition np (Tr.cause_index Tr.Busy) sim.now);
+    ignore (Ctr.Prof.transition np (Ctr.cause_index Ctr.Busy) sim.now);
     ignore
-      (Tr.Prof.transition np
-         (Tr.cause_index (post_fire_cause sim n ra))
+      (Ctr.Prof.transition np
+         (Ctr.cause_index (post_fire_cause sim n ra))
          (sim.now + 1));
     match sim.tr with
     | Some tr ->
@@ -2083,9 +2039,9 @@ let fire_node (sim : t) (ln : lane) (trt : task_rt) (inst : instance)
   end
   else begin
     let cause = stall_cause sim n in
-    let changed = Tr.Prof.transition np (Tr.cause_index cause) sim.now in
+    let changed = Ctr.Prof.transition np (Ctr.cause_index cause) sim.now in
     match sim.tr with
-    | Some tr when changed && cause <> Tr.Idle ->
+    | Some tr when changed && cause <> Ctr.Idle ->
       Tr.emit tr
         (Tr.Estall
            { c = sim.now; task = inst.it.tid; inst = inst.iid;
@@ -2093,8 +2049,8 @@ let fire_node (sim : t) (ln : lane) (trt : task_rt) (inst : instance)
     | _ -> ()
   end;
   if fired then begin
-    ln.l_fires <- ln.l_fires + 1;
-    ln.l_active <- true;
+    sim.fires <- sim.fires + 1;
+    sim.last_activity <- sim.now;
     trt.t_fired_now <- true;
     (* The firing may have produced something to emit this very cycle
        and may have changed the instance's completion conditions. *)
@@ -2112,7 +2068,7 @@ let fire_node (sim : t) (ln : lane) (trt : task_rt) (inst : instance)
     | _ -> ());
     (* Tokens already committed can enable the next firing without any
        further event: self-schedule past the initiation interval. *)
-    if ra then at sim ln (max n.nr_busy_until (sim.now + 1)) inst n 0;
+    if ra then at sim (max n.nr_busy_until (sim.now + 1)) inst n 0;
     true
   end
   else false
@@ -2126,11 +2082,11 @@ let rec port_space_from (fs : fifo array) (k : int) : bool =
 let port_space (n : node_rt) (p : int) : bool =
   port_space_from n.nr_out.(p) 0
 
-let emit_port (ln : lane) (n : node_rt) (p : int) (tag : int) (num : int)
+let emit_port (sim : t) (n : node_rt) (p : int) (tag : int) (num : int)
     (flts : float array) (fi : int) (obj : token) : unit =
   let fs = n.nr_out.(p) in
   for k = 0 to Array.length fs - 1 do
-    fifo_push ln fs.(k) tag num flts fi obj
+    fifo_push sim fs.(k) tag num flts fi obj
   done
 
 (* The emission drains below are top-level and tail-recursive, each
@@ -2138,15 +2094,14 @@ let emit_port (ln : lane) (n : node_rt) (p : int) (tag : int) (num : int)
    [try_emit] they would allocate a closure per node per cycle. *)
 
 (* Pipeline outputs (in order). *)
-let rec drain_pipe (sim : t) (ln : lane) (n : node_rt) (progressed : bool)
-    : bool =
+let rec drain_pipe (sim : t) (n : node_rt) (progressed : bool) : bool =
   if n.np_tail - n.np_head > 0 then begin
     let s = n.np_head land 3 in
     if n.np_ready.(s) <= sim.now && port_space n n.np_port.(s) then begin
       n.np_head <- n.np_head + 1;
-      emit_port ln n n.np_port.(s) n.np_tags.(s) n.np_nums.(s) n.np_flts
+      emit_port sim n n.np_port.(s) n.np_tags.(s) n.np_nums.(s) n.np_flts
         s n.np_objs.(s);
-      drain_pipe sim ln n true
+      drain_pipe sim n true
     end
     else progressed
   end
@@ -2155,7 +2110,7 @@ let rec drain_pipe (sim : t) (ln : lane) (n : node_rt) (progressed : bool)
 (* Memory responses (FIFO per node).  [sc] is the owning instance's
    flat scratch — tile assembly parks its float there so nothing is
    boxed on the way to the ports. *)
-let rec drain_mem (ln : lane) (sc : Exec.sc) (n : node_rt)
+let rec drain_mem (sim : t) (sc : Exec.sc) (n : node_rt)
     (progressed : bool) : bool =
   if n.nm_tail - n.nm_head > 0 then begin
     let mm = Array.length n.nm_live - 1 in
@@ -2181,22 +2136,22 @@ let rec drain_mem (ln : lane) (sc : Exec.sc) (n : node_rt)
         (match n.nr.kind, live with
         | (G.Load _ | G.Tload _), false ->
           (* gated: poison data, ack false *)
-          emit_port ln n 0 F.tpoison 0 f0 0 F.no_obj;
-          emit_port ln n 1 F.tfalse 0 f0 0 F.no_obj
+          emit_port sim n 0 F.tpoison 0 f0 0 F.no_obj;
+          emit_port sim n 1 F.tfalse 0 f0 0 F.no_obj
         | G.Load _, true ->
-          emit_port ln n 0 a.Memsys.a_tags.(0) a.Memsys.a_nums.(0)
+          emit_port sim n 0 a.Memsys.a_tags.(0) a.Memsys.a_nums.(0)
             a.Memsys.a_flts 0 a.Memsys.a_objs.(0);
-          emit_port ln n 1 F.ttrue 0 f0 0 F.no_obj
+          emit_port sim n 1 F.ttrue 0 f0 0 F.no_obj
         | G.Tload _, true ->
           let v = Memsys.tile_value a in
           sc.Exec.rflt.(0) <- F.flt_of v;
-          emit_port ln n 0 (F.tag_of v) (F.num_of v) sc.Exec.rflt 0
+          emit_port sim n 0 (F.tag_of v) (F.num_of v) sc.Exec.rflt 0
             (F.obj_of v);
-          emit_port ln n 1 F.ttrue 0 f0 0 F.no_obj
+          emit_port sim n 1 F.ttrue 0 f0 0 F.no_obj
         | (G.Store _ | G.Tstore _), false ->
-          emit_port ln n 0 F.tfalse 0 f0 0 F.no_obj
+          emit_port sim n 0 F.tfalse 0 f0 0 F.no_obj
         | (G.Store _ | G.Tstore _), true ->
-          emit_port ln n 0 F.ttrue 0 f0 0 F.no_obj
+          emit_port sim n 0 F.ttrue 0 f0 0 F.no_obj
         | _ -> assert false);
         (* Recycle the access: banks still draining a write-buffered
            store keep it as an orphan and return it on completion. *)
@@ -2207,7 +2162,7 @@ let rec drain_mem (ln : lane) (sc : Exec.sc) (n : node_rt)
           end
           else a.Memsys.a_orphan <- true
         end;
-        drain_mem ln sc n true
+        drain_mem sim sc n true
       end
       else progressed
     end
@@ -2219,7 +2174,7 @@ let rec ports_free (n : node_rt) (p : int) (k : int) : bool =
   p >= k || (port_space n p && ports_free n (p + 1) k)
 
 (* Call/spawn responses in wave order. *)
-let rec drain_resp (ln : lane) (n : node_rt) (progressed : bool) : bool =
+let rec drain_resp (sim : t) (n : node_rt) (progressed : bool) : bool =
   if resp_ready n n.nr_next_resp then begin
     let cap = Array.length n.rs_wave in
     let s = n.nr_next_resp land (cap - 1) in
@@ -2229,14 +2184,14 @@ let rec drain_resp (ln : lane) (n : node_rt) (progressed : bool) : bool =
       n.rs_wave.(s) <- -1;
       n.nr_next_resp <- n.nr_next_resp + 1;
       for p = 0 to k - 1 do
-        emit_port ln n p
+        emit_port sim n p
           n.rs_tags.((s * w) + p)
           n.rs_nums.((s * w) + p)
           n.rs_flts
           ((s * w) + p)
           n.rs_objs.((s * w) + p)
       done;
-      drain_resp ln n true
+      drain_resp sim n true
     end
     else progressed
   end
@@ -2255,7 +2210,7 @@ let rec spawns_issued_from (inst : instance) (wave : int) (i : int) : bool
      && spawns_issued_from inst wave (i + 1))
 
 (* Sync completions, in order. *)
-let rec drain_sync (ln : lane) (inst : instance) (n : node_rt)
+let rec drain_sync (sim : t) (inst : instance) (n : node_rt)
     (progressed : bool) : bool =
   if n.ns_tail - n.ns_head > 0 then begin
     let s = n.ns_head land (Array.length n.ns_wave - 1) in
@@ -2270,23 +2225,23 @@ let rec drain_sync (ln : lane) (inst : instance) (n : node_rt)
     if spawns_issued_from inst wave 0 && children_ok && port_space n 0
     then begin
       n.ns_head <- n.ns_head + 1;
-      ln.l_syncs <- ln.l_syncs + 1;
-      emit_port ln n 0 F.ttrue 0 f0 0 F.no_obj;
-      drain_sync ln inst n true
+      sim.ctrs.Ctr.syncs <- sim.ctrs.Ctr.syncs + 1;
+      emit_port sim n 0 F.ttrue 0 f0 0 F.no_obj;
+      drain_sync sim inst n true
     end
     else progressed
   end
   else progressed
 
-let try_emit (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
-  let progressed = drain_pipe sim ln n false in
-  let progressed = drain_mem ln inst.i_sc n progressed in
-  let progressed = drain_resp ln n progressed in
-  let progressed = drain_sync ln inst n progressed in
+let try_emit (sim : t) (inst : instance) (n : node_rt) : bool =
+  let progressed = drain_pipe sim n false in
+  let progressed = drain_mem sim inst.i_sc n progressed in
+  let progressed = drain_resp sim n progressed in
+  let progressed = drain_sync sim inst n progressed in
   (* Whatever is still pipelined wakes the node on its due cycle. *)
   (if n.np_tail - n.np_head > 0 then
      let ready = n.np_ready.(n.np_head land 3) in
-     if ready > sim.now then at sim ln ready inst n 1);
+     if ready > sim.now then at sim ready inst n 1);
   progressed
 
 (* ------------------------------------------------------------------ *)
@@ -2346,95 +2301,60 @@ let take_tj (trt : task_rt) : int =
   sort_insts v n;
   n
 
-(* Phase-3 body, sequential flavor: everything fires inline, in the
-   dense sweep's order.  Also used by the sharded coordinator for
-   dynamic tasks (their slot arbitration is inherently serial). *)
-let rec fire_nodes_any (sim : t) (ln : lane) (trt : task_rt)
-    (inst : instance) (j : int) (nn : int) (any : bool) : bool =
+(* Phase-3 body: everything fires inline, in the dense sweep's
+   order. *)
+let rec fire_nodes_any (sim : t) (trt : task_rt) (inst : instance)
+    (j : int) (nn : int) (any : bool) : bool =
   if j >= nn then any
   else
-    let f = fire_node sim ln trt inst inst.if_v2.(j) in
-    fire_nodes_any sim ln trt inst (j + 1) nn (any || f)
+    let f = fire_node sim trt inst inst.if_v2.(j) in
+    fire_nodes_any sim trt inst (j + 1) nn (any || f)
 
 (* Dynamic-task flavor: at most [tiles] contexts issue datapath work
    per cycle, with the remaining slot count threaded through the
    recursion (a [ref] here would allocate every cycle). *)
-let rec fire_dyn (sim : t) (ln : lane) (trt : task_rt) (k : int)
-    (ni : int) (slots : int) : unit =
+let rec fire_dyn (sim : t) (trt : task_rt) (k : int) (ni : int)
+    (slots : int) : unit =
   if k < ni then begin
     let inst = trt.tf_v2.(k) in
     inst.i_qfire <- false;
     if not inst.live then begin
       ignore (take_fire_nodes inst);
-      fire_dyn sim ln trt (k + 1) ni slots
+      fire_dyn sim trt (k + 1) ni slots
     end
     else if slots = 0 then begin
       (* No tile this cycle: stay woken for the next one. *)
       inst.i_qfire <- true;
       trt.tf_v <- vpush trt.tf_v trt.tf_n inst;
       trt.tf_n <- trt.tf_n + 1;
-      fire_dyn sim ln trt (k + 1) ni 0
+      fire_dyn sim trt (k + 1) ni 0
     end
     else begin
       let nn = take_fire_nodes inst in
-      ln.l_woken <- ln.l_woken + nn;
-      let any = fire_nodes_any sim ln trt inst 0 nn false in
-      fire_dyn sim ln trt (k + 1) ni (if any then slots - 1 else slots)
+      sim.woken <- sim.woken + nn;
+      let any = fire_nodes_any sim trt inst 0 nn false in
+      fire_dyn sim trt (k + 1) ni (if any then slots - 1 else slots)
     end
   end
 
-let fire_task_seq (sim : t) (ln : lane) (trt : task_rt) : unit =
+let fire_task (sim : t) (trt : task_rt) : unit =
   let ni = take_tf trt in
-  if trt.tdynamic then fire_dyn sim ln trt 0 ni trt.tk.tiles
+  if trt.tdynamic then fire_dyn sim trt 0 ni trt.tk.tiles
   else
     for k = 0 to ni - 1 do
       let inst = trt.tf_v2.(k) in
       inst.i_qfire <- false;
       if inst.live then begin
         let nn = take_fire_nodes inst in
-        ln.l_woken <- ln.l_woken + nn;
+        sim.woken <- sim.woken + nn;
         for j = 0 to nn - 1 do
-          ignore (fire_node sim ln trt inst inst.if_v2.(j))
+          ignore (fire_node sim trt inst inst.if_v2.(j))
         done
       end
       else ignore (take_fire_nodes inst)
     done
 
-(* Phase-3 body, lane flavor (static tasks only): datapath nodes fire
-   in place; call/spawn/sync attempts — the only fires that touch
-   other tasks' queues and contexts — are deferred verbatim for the
-   coordinator to replay in task-id order. *)
-let fire_task_lane (sim : t) (ln : lane) (trt : task_rt) : unit =
-  let ni = take_tf trt in
-  for k = 0 to ni - 1 do
-    let inst = trt.tf_v2.(k) in
-    inst.i_qfire <- false;
-    if inst.live then begin
-      let nn = take_fire_nodes inst in
-      ln.l_woken <- ln.l_woken + nn;
-      for j = 0 to nn - 1 do
-        let n = inst.if_v2.(j) in
-        match n.nr.kind with
-        | G.CallChild _ | G.SpawnChild _ | G.SyncWait ->
-          trt.td_inst <- vpush trt.td_inst trt.td_n inst;
-          trt.td_node <- vpush trt.td_node trt.td_n n;
-          trt.td_n <- trt.td_n + 1
-        | _ -> ignore (fire_node sim ln trt inst n)
-      done
-    end
-    else ignore (take_fire_nodes inst)
-  done
-
-let replay_deferred (sim : t) (trt : task_rt) : unit =
-  let ln0 = sim.lanes.(0) in
-  for i = 0 to trt.td_n - 1 do
-    ignore (fire_node sim ln0 trt trt.td_inst.(i) trt.td_node.(i))
-  done;
-  trt.td_n <- 0
-
-(* Phase-4 body: emission is instance-local, so lanes run it for all
-   their tasks (including dynamic ones). *)
-let emit_task (sim : t) (ln : lane) (trt : task_rt) : unit =
+let emit_task (sim : t) (trt : task_rt) : unit =
   let ni = take_te trt in
   for k = 0 to ni - 1 do
     let inst = trt.te_v2.(k) in
@@ -2443,8 +2363,8 @@ let emit_task (sim : t) (ln : lane) (trt : task_rt) : unit =
     if inst.live then
       for j = 0 to nn - 1 do
         let n = inst.ie_v2.(j) in
-        if try_emit sim ln inst n then begin
-          ln.l_active <- true;
+        if try_emit sim inst n then begin
+          sim.last_activity <- sim.now;
           (* Freed pipeline/memory slots may unblock the node's next
              firing; drained state feeds the completion check below. *)
           wake_fire sim inst n;
@@ -2501,21 +2421,6 @@ let rec drain_complete (sim : t) (trt : task_rt) (cursor : int) : unit =
     end
   end
 
-let merge_lanes (sim : t) : unit =
-  for l = 0 to sim.njobs - 1 do
-    let ln = sim.lanes.(l) in
-    sim.fires <- sim.fires + ln.l_fires;
-    ln.l_fires <- 0;
-    sim.woken <- sim.woken + ln.l_woken;
-    ln.l_woken <- 0;
-    sim.ctrs.Ctr.syncs <- sim.ctrs.Ctr.syncs + ln.l_syncs;
-    ln.l_syncs <- 0;
-    if ln.l_active then begin
-      sim.last_activity <- sim.now;
-      ln.l_active <- false
-    end
-  done
-
 (* Round-robin dispatch across a static task's tiles: a pipelined
    instance would otherwise accept every invocation and starve its
    replicas.  Returns whether anything was popped off the queue. *)
@@ -2550,10 +2455,10 @@ let step (sim : t) : unit =
   | Some tr when now mod tr.Tr.sample_every = 0 ->
     Array.iter
       (fun trt ->
-        Tr.occ_sample tr ~c:now (Tr.Ktask trt.tk.tid) (tq_len trt))
+        Tr.occ_sample tr ~c:now (Ctr.Ktask trt.tk.tid) (tq_len trt))
       sim.tasks;
     List.iter
-      (fun (sid, depth) -> Tr.occ_sample tr ~c:now (Tr.Kstruct sid) depth)
+      (fun (sid, depth) -> Tr.occ_sample tr ~c:now (Ctr.Kstruct sid) depth)
       (Memsys.occupancy sim.ms)
   | _ -> ());
   drain_timed sim;
@@ -2587,31 +2492,10 @@ let step (sim : t) : unit =
     end
   done;
   (* 3. fire phase over woken nodes *)
-  (match sim.dpool with
-  | Some p when sim.njobs > 1 ->
-    (* 3a. lanes fire their static tasks' datapath, deferring
-       call/spawn/sync; 3b. the coordinator replays the deferred
-       fires and runs dynamic tasks, in task-id order. *)
-    Dpool.run p (fun l ->
-        let ln = sim.lanes.(l) in
-        let tid = ref l in
-        while !tid < ntasks do
-          let trt = sim.tasks.(!tid) in
-          if (not trt.tdynamic) && trt.tf_n > 0 then fire_task_lane sim ln trt;
-          tid := !tid + sim.njobs
-        done);
-    for tid = 0 to ntasks - 1 do
-      let trt = sim.tasks.(tid) in
-      if trt.tdynamic then begin
-        if trt.tf_n > 0 then fire_task_seq sim sim.lanes.(0) trt
-      end
-      else if trt.td_n > 0 then replay_deferred sim trt
-    done
-  | _ ->
-    for ti = 0 to ntasks - 1 do
-      let trt = sim.tasks.(ti) in
-      if trt.tf_n > 0 then fire_task_seq sim sim.lanes.(0) trt
-    done);
+  for ti = 0 to ntasks - 1 do
+    let trt = sim.tasks.(ti) in
+    if trt.tf_n > 0 then fire_task sim trt
+  done;
   (* utilization sweep: a task was busy if anything of it fired *)
   for ti = 0 to ntasks - 1 do
     let trt = sim.tasks.(ti) in
@@ -2621,22 +2505,10 @@ let step (sim : t) : unit =
     end
   done;
   (* 4. emission phase over woken nodes *)
-  (match sim.dpool with
-  | Some p when sim.njobs > 1 ->
-    Dpool.run p (fun l ->
-        let ln = sim.lanes.(l) in
-        let tid = ref l in
-        while !tid < ntasks do
-          let trt = sim.tasks.(!tid) in
-          if trt.te_n > 0 then emit_task sim ln trt;
-          tid := !tid + sim.njobs
-        done)
-  | _ ->
-    for ti = 0 to ntasks - 1 do
-      let trt = sim.tasks.(ti) in
-      if trt.te_n > 0 then emit_task sim sim.lanes.(0) trt
-    done);
-  merge_lanes sim;
+  for ti = 0 to ntasks - 1 do
+    let trt = sim.tasks.(ti) in
+    if trt.te_n > 0 then emit_task sim trt
+  done;
   (* 5. completions, only on instances whose state moved *)
   for ti = 0 to ntasks - 1 do
     let trt = sim.tasks.(ti) in
@@ -2671,24 +2543,19 @@ let step (sim : t) : unit =
         end
       end
   done;
-  (* 7. commit staged channel writes (dirty channels only), in lane
-     order — the per-channel transfer is independent, so any fixed
-     order is deterministic *)
-  for l = 0 to sim.njobs - 1 do
-    let ln = sim.lanes.(l) in
-    for i = 0 to ln.ld_n - 1 do
-      let f = ln.ld_v.(i) in
-      f.f_dirty <- false;
-      if f.ftail - f.fmid > 0 then begin
-        f.fmid <- f.ftail;
-        (* Fresh tokens: the consumer may be able to fire. *)
-        match f.f_dst with
-        | Some (di, dn) -> wake_fire sim di dn
-        | None -> ()
-      end
-    done;
-    ln.ld_n <- 0
+  (* 7. commit staged channel writes (dirty channels only) *)
+  for i = 0 to sim.ld_n - 1 do
+    let f = sim.ld_v.(i) in
+    f.f_dirty <- false;
+    if f.ftail - f.fmid > 0 then begin
+      f.fmid <- f.ftail;
+      (* Fresh tokens: the consumer may be able to fire. *)
+      match f.f_dst with
+      | Some (di, dn) -> wake_fire sim di dn
+      | None -> ()
+    end
   done;
+  sim.ld_n <- 0;
   sim.node_cycles <- sim.node_cycles + sim.live_nodes;
   sim.now <- now + 1
 
@@ -2766,14 +2633,10 @@ let diagnose (sim : t) : string =
     tracer is attached).  [?tracer] additionally streams timeline
     events into a [Muir_trace.Trace.t]; tracing is strictly passive,
     so cycle counts, stats and counters are identical with it on or
-    off.  [?jobs] > 1 shards the fire and emit phases across an
-    OCaml-5 domain pool; results are bit-identical for every job
-    count (a tracer forces [jobs = 1], since the event ring is not
-    sharded). *)
+    off. *)
 let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
-    ?(deadlock_window = 50_000) ?(jobs = 1) (c : G.circuit) : result =
+    ?(deadlock_window = 50_000) (c : G.circuit) : result =
   let t_start = Unix.gettimeofday () in
-  let jobs = match tracer with Some _ -> 1 | None -> max 1 jobs in
   (* The steady-state kernel is allocation-free, but instance-pool
      warm-up (deep spawn recursion) allocates in bursts.  A default
      256k-word minor heap promotes those bursts straight to the major
@@ -2782,16 +2645,10 @@ let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
   let gc_ctrl = Gc.get () in
   if gc_ctrl.Gc.minor_heap_size < 2_097_152 then
     Gc.set { gc_ctrl with Gc.minor_heap_size = 2_097_152 };
-  let sim = create ?tracer ~jobs c in
-  if sim.njobs > 1 then sim.dpool <- Some (Dpool.create sim.njobs);
+  let sim = create ?tracer c in
   Fun.protect
     ~finally:(fun () ->
-      if gc_ctrl.Gc.minor_heap_size < 2_097_152 then Gc.set gc_ctrl;
-      match sim.dpool with
-      | Some p ->
-        sim.dpool <- None;
-        Dpool.shutdown p
-      | None -> ())
+      if gc_ctrl.Gc.minor_heap_size < 2_097_152 then Gc.set gc_ctrl)
   @@ fun () ->
   let root = sim.tasks.(c.root) in
   let root_ctx =
@@ -2861,7 +2718,7 @@ let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
               let n = inst.inodes.(i) in
               Ctr.fold sim.ctrs ~task:inst.it.tid ~node:n.nr.G.nid
                 ~fires:n.nr_fired ~born:ip.born ~upto:sim.now np)
-            ip.Tr.Prof.nprofs
+            ip.Ctr.Prof.nprofs
         end
       done)
     sim.tasks;

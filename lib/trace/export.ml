@@ -4,6 +4,7 @@
 
 module G = Muir_core.Graph
 module Tr = Trace
+module Ctr = Counters
 
 (* RFC 8259 string escaping lives in {!Json}; hostile node/structure
    names (quotes, backslashes, control characters) are covered by the
@@ -63,8 +64,8 @@ let chrome (c : G.circuit) (tr : Tr.t) : string =
       ("pid", string_of_int counters_pid); ("tid", "0");
       ("args", Fmt.str "{\"name\":%s}" (str "occupancy")) ];
   let key_name = function
-    | Tr.Ktask tid -> "queue:" ^ (G.task c tid).tname
-    | Tr.Kstruct sid -> (G.structure c sid).sname
+    | Ctr.Ktask tid -> "queue:" ^ (G.task c tid).tname
+    | Ctr.Kstruct sid -> (G.structure c sid).sname
   in
   List.iter
     (fun ev ->
@@ -78,7 +79,7 @@ let chrome (c : G.circuit) (tr : Tr.t) : string =
             ("args", Fmt.str "{\"inst\":%d}" inst) ]
       | Tr.Estall { c = cyc; task; inst; node; cause } ->
         obj
-          [ ("ph", str "i"); ("name", str (Tr.cause_name cause));
+          [ ("ph", str "i"); ("name", str (Ctr.cause_name cause));
             ("cat", str "stall"); ("s", str "t");
             ("pid", string_of_int task); ("tid", string_of_int node);
             ("ts", string_of_int cyc);
@@ -161,8 +162,8 @@ let vcd (c : G.circuit) (tr : Tr.t) : string =
         Hashtbl.replace occ_ids key id;
         let name =
           match key with
-          | Tr.Ktask tid -> "queue_" ^ sanitize (G.task c tid).tname
-          | Tr.Kstruct sid -> sanitize (G.structure c sid).sname
+          | Ctr.Ktask tid -> "queue_" ^ sanitize (G.task c tid).tname
+          | Ctr.Kstruct sid -> sanitize (G.structure c sid).sname
         in
         p "$var wire 16 %s %s $end" id name)
       occ_keys;

@@ -13,6 +13,7 @@
 module G = Muir_core.Graph
 module Dot = Muir_core.Dot
 module Tr = Trace
+module Ctr = Counters
 
 (** One static (task, node) pair, aggregated over every instance. *)
 type row = {
@@ -65,8 +66,8 @@ type t = {
   p_events_kept : int;
 }
 
-let busy_i = Tr.cause_index Tr.Busy
-let idle_i = Tr.cause_index Tr.Idle
+let busy_i = Ctr.cause_index Ctr.Busy
+let idle_i = Ctr.cause_index Ctr.Idle
 
 (** Stall cycles of a row: everything that is neither busy nor idle. *)
 let row_stalls (r : row) : int =
@@ -76,7 +77,7 @@ let row_stalls (r : row) : int =
     r.r_acc;
   !s
 
-let operand_i = Tr.cause_index Tr.Operand
+let operand_i = Ctr.cause_index Ctr.Operand
 
 (** Resource stalls: hazards other than waiting for a producer.  Every
     node downstream of a bottleneck shows operand-wait, so ranking by
@@ -84,7 +85,7 @@ let operand_i = Tr.cause_index Tr.Operand
 let row_resource_stalls (r : row) : int = row_stalls r - r.r_acc.(operand_i)
 
 (** The dominant stall cause (idle excluded); [None] if never stalled. *)
-let dominant (r : row) : Tr.cause option =
+let dominant (r : row) : Ctr.cause option =
   let best = ref (-1) and bestv = ref 0 in
   Array.iteri
     (fun i v ->
@@ -93,7 +94,7 @@ let dominant (r : row) : Tr.cause option =
         bestv := v
       end)
     r.r_acc;
-  if !best < 0 then None else Some Tr.cause_of_index.(!best)
+  if !best < 0 then None else Some Ctr.cause_of_index.(!best)
 
 (** The conservation invariant every row must satisfy. *)
 let conserved (r : row) : bool =
@@ -119,8 +120,8 @@ let structs_of_rows (c : G.circuit) (rows : row list) : struct_row list =
       | Some sref ->
         let charged =
           match sref with
-          | G.Rstruct _ -> r.r_acc.(Tr.cause_index Tr.Memory)
-          | G.Rqueue _ -> r.r_acc.(Tr.cause_index Tr.Structural)
+          | G.Rstruct _ -> r.r_acc.(Ctr.cause_index Ctr.Memory)
+          | G.Rqueue _ -> r.r_acc.(Ctr.cause_index Ctr.Structural)
         in
         let stalls, nodes =
           Option.value ~default:(0, 0) (Hashtbl.find_opt tbl sref)
@@ -311,18 +312,18 @@ let critical (c : G.circuit) (evs : Tr.ev list) : crit option =
 (* ------------------------------------------------------------------ *)
 (* Assembly                                                             *)
 
-let key_name (c : G.circuit) : Tr.key -> string = function
-  | Tr.Ktask tid -> "queue:" ^ (G.task c tid).tname
-  | Tr.Kstruct sid -> (G.structure c sid).sname
+let key_name (c : G.circuit) : Ctr.key -> string = function
+  | Ctr.Ktask tid -> "queue:" ^ (G.task c tid).tname
+  | Ctr.Kstruct sid -> (G.structure c sid).sname
 
 (** Build a profile from a finished run's counter bank.  [?tracer]
     adds the ring-derived views — critical path, occupancy histograms,
     event totals; without one those fields are empty and everything
     else is still exact. *)
-let of_run (c : G.circuit) ?tracer (ctrs : Counters.t) : t =
+let of_run (c : G.circuit) ?tracer (ctrs : Ctr.t) : t =
   let acc = ref [] in
-  Counters.iter_nodes
-    (fun ~task:tid ~node:nid (g : Counters.node_ctr) ->
+  Ctr.iter_nodes
+    (fun ~task:tid ~node:nid (g : Ctr.node_ctr) ->
       let t = G.task c tid in
       match List.find_opt (fun (n : G.node) -> n.nid = nid) t.nodes with
       | None -> ()
@@ -350,7 +351,7 @@ let of_run (c : G.circuit) ?tracer (ctrs : Counters.t) : t =
         (fun k -> (key_name c k, Tr.occupancy_hist tr k))
         (Tr.occupancy_keys tr)
   in
-  { p_name = c.cname; p_cycles = ctrs.Counters.final_cycle;
+  { p_name = c.cname; p_cycles = ctrs.Ctr.final_cycle;
     p_fires = List.fold_left (fun a r -> a + r.r_fires) 0 rows;
     p_rows = rows; p_structs = structs_of_rows c rows;
     p_crit =
@@ -378,7 +379,7 @@ let pp_row ppf (r : row) =
     |> List.sort (fun (_, a) (_, b) -> compare b a)
     |> List.map (fun (i, v) ->
            Fmt.str "%s %.0f%%"
-             (Tr.cause_name Tr.cause_of_index.(i))
+             (Ctr.cause_name Ctr.cause_of_index.(i))
              (pct v stalls))
   in
   Fmt.pf ppf "%-10s n%-3d %-18s fires=%-6d busy=%4.1f%% stall=%-7d %s%s"
@@ -456,7 +457,7 @@ let heat (p : t) : Dot.heat =
       let note =
         match dominant r with
         | Some cause ->
-          Fmt.str "%d fires; %s %.0f%%" r.r_fires (Tr.cause_name cause)
+          Fmt.str "%d fires; %s %.0f%%" r.r_fires (Ctr.cause_name cause)
             (pct (row_stalls r) r.r_span)
         | None -> Fmt.str "%d fires" r.r_fires
       in

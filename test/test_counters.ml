@@ -136,6 +136,63 @@ let test_ring_independence (w : W.t) () =
     (Ctr.total_fires r_big.counters)
     ring_fires
 
+(* The same contract under every registry stack: a stacked circuit
+   traced into a 16-slot ring reports exactly what a freshly built,
+   untraced copy of it reports — cycles, fires and the whole bank. *)
+let test_stacked_ring_independence (w : W.t) () =
+  List.iter
+    (fun (sname, passes) ->
+      let ctx = w.wname ^ "/" ^ sname in
+      let _, r_off = run w passes in
+      let _, r_tiny =
+        run ~tracer:(Muir_trace.Trace.create ~capacity:16 ()) w passes
+      in
+      Alcotest.(check int)
+        (ctx ^ ": total_cycles untraced == cap-16")
+        r_off.stats.total_cycles r_tiny.stats.total_cycles;
+      Alcotest.(check int)
+        (ctx ^ ": fires untraced == cap-16")
+        r_off.stats.fires r_tiny.stats.fires;
+      same_bank ~ctx:(ctx ^ " untraced vs cap-16") r_off.counters
+        r_tiny.counters)
+    (stacks ())
+
+(* Ring sizes that wrap at every odd stride must be just as invisible
+   on a task-parallel workload, where spawns and syncs interleave. *)
+let test_ring_capacity_sweep () =
+  let w = W.find "fib" in
+  let passes = List.assoc "cilk-stack" (stacks ()) in
+  let _, r_off = run w passes in
+  List.iter
+    (fun capacity ->
+      let _, r =
+        run ~tracer:(Muir_trace.Trace.create ~capacity ()) w passes
+      in
+      Alcotest.(check int)
+        (Fmt.str "fib cycles cap-%d" capacity)
+        r_off.stats.total_cycles r.stats.total_cycles;
+      same_bank ~ctx:(Fmt.str "fib untraced vs cap-%d" capacity)
+        r_off.counters r.counters)
+    [ 1; 2; 3; 7; 1024 ]
+
+(* Simulation leaves the circuit as it found it: running one built
+   circuit twice gives the same cycles, fires and bank. *)
+let test_rerun_same_circuit () =
+  List.iter
+    (fun name ->
+      let w = W.find name in
+      let passes = Muir_opt.Stacks.best_loop_stack () in
+      let c, r1 = run w passes in
+      let r2 = Sim.run c in
+      Alcotest.(check int)
+        (name ^ ": total_cycles on re-run")
+        r1.stats.total_cycles r2.stats.total_cycles;
+      Alcotest.(check int)
+        (name ^ ": fires on re-run")
+        r1.stats.fires r2.stats.fires;
+      same_bank ~ctx:(name ^ " first vs second run") r1.counters r2.counters)
+    [ "gemm"; "fib"; "relu[T]" ]
+
 (* 3. Long unrolled run: everything stays non-negative, conserved and
    finite. *)
 let test_long_run () =
@@ -295,6 +352,17 @@ let () =
   Alcotest.run "counters"
     [ ("conservation", conservation_cases);
       ("ring independence", ring_cases);
+      ( "stacked ring independence",
+        List.map
+          (fun (w : W.t) ->
+            Alcotest.test_case w.wname `Quick
+              (test_stacked_ring_independence w))
+          W.all );
+      ( "determinism",
+        [ Alcotest.test_case "fib ring capacities" `Quick
+            test_ring_capacity_sweep;
+          Alcotest.test_case "re-run one circuit" `Quick
+            test_rerun_same_circuit ] );
       ( "bank",
         [ Alcotest.test_case "long unrolled run" `Quick test_long_run;
           Alcotest.test_case "occupancy integrals" `Quick

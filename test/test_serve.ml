@@ -14,10 +14,14 @@ module J = Muir_trace.Json
 module W = Muir_workloads.Workloads
 
 let item ?(id = 0) ?(stack = "baseline") ?tiles ?banks ?(off = [])
-    ?deadline_ms ?(jobs = 1) src : Proto.item =
+    ?deadline_ms src : Proto.item =
   { Proto.it_id = id; it_src = src; it_stack = stack; it_tiles = tiles;
-    it_banks = banks; it_off = off; it_deadline_ms = deadline_ms;
-    it_jobs = jobs }
+    it_banks = banks; it_off = off; it_deadline_ms = deadline_ms }
+
+(* A raw serve-v1 item as an older client sends it, with "jobs". *)
+let item_with_jobs ~id workload : Proto.item =
+  Proto.item_of_json
+    (J.parse (Fmt.str {|{"id":%d,"workload":"%s","jobs":2}|} id workload))
 
 let results_of = function
   | Proto.Results { results; fresh; cached; errors } ->
@@ -60,7 +64,7 @@ let test_request_roundtrip () =
   let req =
     Proto.Run
       [ item ~id:3 ~stack:"loop-stack" ~tiles:4 ~banks:2
-          ~off:[ "op-fusion" ] ~deadline_ms:250 ~jobs:2
+          ~off:[ "op-fusion" ] ~deadline_ms:250
           (Proto.Workload "gemm");
         item ~id:7 (Proto.Inline { name = hostile; text = hostile }) ]
   in
@@ -73,13 +77,15 @@ let test_request_roundtrip () =
     Alcotest.(check (option int)) "banks" (Some 2) a.it_banks;
     Alcotest.(check (list string)) "off" [ "op-fusion" ] a.it_off;
     Alcotest.(check (option int)) "deadline" (Some 250) a.it_deadline_ms;
-    Alcotest.(check int) "jobs" 2 a.it_jobs;
     (match b.it_src with
     | Proto.Inline { name; text } ->
       Alcotest.(check string) "hostile name survives" hostile name;
       Alcotest.(check string) "hostile text survives" hostile text
     | _ -> Alcotest.fail "expected inline source")
   | _ -> Alcotest.fail "round trip lost the request shape");
+  (* An older client's "jobs" is accepted and ignored. *)
+  Alcotest.(check bool) "jobs ignored" true
+    (item_with_jobs ~id:5 "gemm" = item ~id:5 (Proto.Workload "gemm"));
   (* stats/shutdown round-trip too *)
   Alcotest.(check bool) "stats" true
     (Proto.request_of_string (Proto.request_to_string Proto.Stats)
@@ -218,14 +224,14 @@ let test_batch_dedup () =
       (Server.handle t
          (Proto.Run
             [ item ~id:0 (Proto.Workload "saxpy");
-              item ~id:1 ~jobs:2 (Proto.Workload "saxpy");
+              item_with_jobs ~id:1 "saxpy";
               item ~id:2 ~deadline_ms:60_000 (Proto.Workload "saxpy") ]))
   in
   Alcotest.(check int) "one simulation" 1 fresh;
   Alcotest.(check int) "two dedup answers" 2 cached;
   Alcotest.(check int) "no errors" 0 errors;
-  (* jobs and deadline are not part of the key, so all three reports
-     are the same bytes. *)
+  (* an ignored "jobs" and a deadline are not part of the key, so all
+     three reports are the same bytes. *)
   let a = report_string (outcome rs 0) in
   Alcotest.(check string) "dup report identical" a
     (report_string (outcome rs 1));
